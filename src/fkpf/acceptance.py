@@ -50,6 +50,7 @@ from .reference import gaussian_free_semigroup, heat_kernel, interval_eigen_kern
 from .semigroup import (
     MCConfig,
     StateSpec,
+    atom_gram_form,
     estimate_kernel_element,
     estimate_penalized_element,
     estimate_Tt_element,
@@ -314,9 +315,6 @@ def c07_action_route_consistency(scale, seed, workers):
     for n_steps in levels:
         stride = master // n_steps
         grid = PathGrid(t, n_steps)
-        times = grid.times
-        gram = np.exp(-np.abs(times[:, None] - times[None, :])[None, :, :]
-                      * SP1.omega[:, None, None])
         gaps_s = np.empty(n_paths)
         amp_diffs = np.empty((n_paths, n_steps + 1, 1))
         for i in range(n_paths):
@@ -328,9 +326,9 @@ def c07_action_route_consistency(scale, seed, workers):
             div_amps = (k_div.weights[:, None] * k_div.vectors).real
             merged = div_amps[: n_steps + 1] + div_amps[n_steps + 1 :]
             amp_diffs[i] = k_trap.vectors.real - merged
-        norm_sq = np.einsum("blm,mlk,bkm->b", amp_diffs, gram, amp_diffs)
+        norm_sq = atom_gram_form(amp_diffs, SP1.omega, grid.dt)
         rms_s.append(float(np.sqrt(np.mean(gaps_s**2))))
-        rms_k.append(float(np.sqrt(np.mean(np.maximum(norm_sq, 0.0)))))
+        rms_k.append(float(np.sqrt(np.mean(norm_sq))))
     dts = np.log([t / n for n in levels])
     slope_s = float(np.polyfit(dts, np.log(rms_s), 1)[0])
     slope_k = float(np.polyfit(dts, np.log(rms_k), 1)[0])

@@ -539,7 +539,8 @@ def compare(path_a, path_b, tolspec: dict) -> dict:
     {"mode": "abs", "tol": x} compares absolutely.  A "per_experiment" map
     overrides the criterion for matching experiment ids, so one call can mix
     absolute and statistical verdicts.  Rows are matched by
-    (experiment, x, y, t).
+    (experiment, x, y, t); a row present in only one file is reported as
+    "missing" (only in a) or "extra" (only in b) and fails the comparison.
     """
     rows_a = _read_csv(path_a)
     rows_b = _read_csv(path_b)
@@ -570,4 +571,9 @@ def compare(path_a, path_b, tolspec: dict) -> dict:
             verdicts.append({"key": key(row), "status": "ok" if ok else "fail",
                              "gap": gap})
         all_ok = all_ok and ok
+    keys_a = {key(r) for r in rows_a}
+    for row in rows_b:
+        if key(row) not in keys_a:
+            verdicts.append({"key": key(row), "status": "extra"})
+            all_ok = False
     return {"passed": all_ok, "rows": verdicts}

@@ -7,9 +7,12 @@ Estimator layout: paths are drawn from counter-based per-path streams keyed
 by (seed, path index) and processed in fixed-size blocks.  The per-path
 integrand values are stored into one array indexed by path, so means and
 standard errors are bitwise independent of the worker partition.  On a
-shared time grid the atom Gram kernel and the endpoint pullback rows are
-precomputed once and the field-displacement norm reduces to quadratic forms
-over per-path amplitude matrices.
+shared time grid the endpoint pullback rows are precomputed once.  The
+field-displacement norm is a quadratic form in the per-path atom amplitudes
+whose time kernel e^{-omega|s - r|} is an Ornstein-Uhlenbeck covariance, so
+``atom_gram_form`` evaluates it by a first-order recursion in O(n) per path,
+without forming the (n+1, n+1) Gram matrix.  A non-finite integrand sample
+stops the estimate instead of entering the mean.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "MCConfig",
     "StateSpec",
     "Estimate",
+    "atom_gram_form",
     "estimate_Tt_element",
     "estimate_kernel_element",
     "estimate_penalized_element",
@@ -173,7 +177,6 @@ class _Plan:
     g_amp: np.ndarray
     omega: Optional[np.ndarray]
     profile: Optional[Callable]
-    gram: Optional[np.ndarray] = None        # (M, n+1, n+1)
     decay0: Optional[np.ndarray] = None      # (M, n+1)
     decay_t: Optional[np.ndarray] = None     # (M, n+1)
     heat_t: Optional[np.ndarray] = None      # (M,)
@@ -182,8 +185,6 @@ class _Plan:
     def __post_init__(self):
         if self.omega is not None:
             times = self.grid.times
-            gaps = np.abs(times[:, None] - times[None, :])
-            self.gram = np.exp(-gaps[None, :, :] * self.omega[:, None, None])
             self.decay0 = np.exp(-np.outer(self.omega, times))
             self.decay_t = np.exp(-np.outer(self.omega, self.t - times))
             self.heat_t = np.exp(-self.t * self.omega)
@@ -191,6 +192,26 @@ class _Plan:
             0.5 * float(np.vdot(self.u_amp, self.u_amp).real)
             + 0.5 * float(np.vdot(self.g_amp, self.g_amp).real)
         )
+
+
+def atom_gram_form(amps: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
+    """The quadratic form sum_m sum_lk a_lm a_km e^{-omega_m dt |l - k|} of a
+    (B, n+1, M) block of atom amplitudes on a uniform grid of step dt.
+
+    The time kernel is a Kac-Murdock-Szego matrix in rho_m = e^{-omega_m dt}.
+    With c_0 = 0, c_l = rho (c_{l-1} + a_{l-1}) the form is
+    sum_l a_l^2 + 2 sum_l a_l c_l; in the filtered sums f_l = a_l + c_l =
+    a_l + rho f_{l-1} it is f_n^2 + (1 - rho^2) sum_{l<n} f_l^2, a sum of
+    squares that keeps full relative accuracy as rho -> 1.  O(n) work per
+    path, vectorized over paths and modes.
+    """
+    omega = np.asarray(omega, dtype=float)
+    rho = np.exp(-omega * dt)
+    filt = np.array(np.moveaxis(amps, 1, 0))  # (n+1, B, M), filtered in place
+    for l in range(1, filt.shape[0]):
+        filt[l] += rho * filt[l - 1]
+    head = np.einsum("lbm,lbm->bm", filt[:-1], filt[:-1])
+    return (-np.expm1(-2.0 * omega * dt) * head + filt[-1] ** 2).sum(axis=1)
 
 
 def _sample_block(plan: _Plan, i0: int, count: int) -> np.ndarray:
@@ -244,7 +265,7 @@ def _integrand_block(plan: _Plan, positions: np.ndarray) -> np.ndarray:
         amps = 0.5 * np.einsum("bljm,blj->blm", gvals, db_prev) + 0.5 * np.einsum(
             "bljm,blj->blm", gvals, db_next
         )
-        norm_ksq = np.einsum("blm,mlk,bkm->b", amps, plan.gram, amps)
+        norm_ksq = atom_gram_form(amps, plan.omega, plan.grid.dt)
         p0 = np.einsum("ml,blm->bm", plan.decay0, amps)
         pt = np.einsum("ml,blm->bm", plan.decay_t, amps)
     else:
@@ -326,6 +347,12 @@ def _run_plan(plan: _Plan) -> np.ndarray:
 
 def _reduce(vals: np.ndarray, scale: float, manifest: dict) -> Estimate:
     n = vals.size
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise FloatingPointError(
+            f"{bad.size} of {n} integrand samples are non-finite; "
+            f"the first is at path index {bad[0]}"
+        )
     mean = vals.mean()
     var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
     stderr = float(np.sqrt(var / n))

@@ -127,6 +127,23 @@ def test_compare_mixed_criteria(tmp_path):
     assert not compare(a, b, tight)["passed"]
 
 
+def test_compare_reports_rows_only_in_second_file(tmp_path):
+    row = {"experiment": "kernel", "x": 0.4, "y": 0.5, "t": 0.2, "re": 0.7,
+           "im": 0.0, "stderr": 0.01, "n": 100, "seed": 1, "config_hash": "a"}
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(rows_to_csv([row]))
+    b.write_text(rows_to_csv([row, dict(row, x=0.9)]))
+    report = compare(a, b, {"mode": "stat", "z": 3.0})
+    assert not report["passed"]
+    statuses = sorted((r["status"], float(r["key"][1])) for r in report["rows"])
+    assert statuses == [("extra", 0.9), ("ok", 0.4)]
+    # the reverse direction reports the same row as missing
+    reverse = compare(b, a, {"mode": "stat", "z": 3.0})
+    assert not reverse["passed"]
+    assert sorted(r["status"] for r in reverse["rows"]) == ["missing", "ok"]
+
+
 def test_penalty_sweep_run(tmp_path):
     payload = {
         "experiment": "penalty-sweep",

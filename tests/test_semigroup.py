@@ -3,16 +3,18 @@ import pytest
 
 from fkpf.action import Coefficients
 from fkpf.oneboson import OneBosonSpace
-from fkpf.paths import Domain
+from fkpf.paths import Domain, PathGrid, sample_bm_block
 from fkpf.reference import (
     gaussian_free_semigroup,
     heat_kernel,
     interval_eigen_kernel,
     interval_semigroup_apply,
 )
+import fkpf.semigroup as semigroup
 from fkpf.semigroup import (
     MCConfig,
     StateSpec,
+    atom_gram_form,
     chapman_probe,
     estimate_kernel_element,
     estimate_penalized_element,
@@ -374,3 +376,75 @@ def test_dirichlet_interval_profile_oracle_quadrature():
     oracle = interval_semigroup_apply(0.1, 0.4, lambda y: np.maximum(
         0.0, 1.0 - np.abs(y - 0.5) * 4.0))
     assert est.within(oracle)
+
+
+def dense_gram_form(amps, omega, dt, dtype=float):
+    """The atom Gram form with the full (M, n+1, n+1) time kernel."""
+    lags = np.arange(amps.shape[1])
+    gaps = np.asarray(dt, dtype) * np.abs(lags[:, None] - lags[None, :])
+    gram = np.exp(-gaps[None, :, :] * np.asarray(omega, dtype)[:, None, None])
+    form = np.einsum("blm,mlk,bkm->b", np.asarray(amps, dtype), gram,
+                     np.asarray(amps, dtype), optimize=True)
+    return form.astype(float)
+
+
+GRAM_REGIMES = ("random", "rho_near_0", "rho_near_1")
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+@pytest.mark.parametrize("steps", [1, 2, 64, 257])
+@pytest.mark.parametrize("regime", GRAM_REGIMES)
+def test_atom_gram_form_matches_dense(modes, steps, regime):
+    rng = np.random.default_rng([modes, steps, GRAM_REGIMES.index(regime)])
+    dt = 1.0 / steps
+    if regime == "random":
+        omega = rng.uniform(0.05, 20.0, modes)
+    elif regime == "rho_near_0":
+        omega = rng.uniform(40.0, 400.0, modes) / dt
+    else:
+        omega = rng.uniform(0.5e-8, 2e-8, modes) / dt
+    amps = rng.standard_normal((16, steps + 1, modes))
+    fast = atom_gram_form(amps, omega, dt)
+    # extended precision keeps the reference's own rounding out of the
+    # comparison when rho -> 1 and the form nearly cancels
+    dense = dense_gram_form(amps, omega, dt, np.longdouble)
+    assert fast.shape == (16,)
+    np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=0.0)
+
+
+def test_coupled_state_map_fine_grid_matches_dense_form(monkeypatch):
+    sp2 = OneBosonSpace(np.array([0.7, 1.9]))
+
+    def g_two_modes(x):
+        xs = np.asarray(x)[..., 0]
+        bump = np.exp(-xs**2)
+        return np.stack([0.5 * bump, 0.3 * xs * bump], axis=-1)[..., None, :]
+
+    coeffs = Coefficients(G=g_two_modes, space=sp2)
+    state = StateSpec(gaussian_profile, sp2.vector([0.2, -0.1]), name="gaussian")
+    u = sp2.vector([0.3, 0.4])
+    cfg = MCConfig(samples=64, steps=2048, seed=126)
+    box = Domain.interval(-4.0, 4.0)
+    fast = estimate_Tt_element([0.0], u, state, 1.0, coeffs, box, cfg)
+    monkeypatch.setattr(semigroup, "atom_gram_form", dense_gram_form)
+    dense = estimate_Tt_element([0.0], u, state, 1.0, coeffs, box, cfg)
+    assert np.isfinite(fast.value) and fast.stderr > 0.0
+    assert fast.value == pytest.approx(dense.value, rel=1e-12)
+    assert fast.stderr == pytest.approx(dense.stderr, rel=1e-10)
+
+
+def g_nan_right(x):
+    xs = np.asarray(x)[..., 0]
+    return np.where(xs > 0.3, np.nan, 0.5)[..., None, None]
+
+
+def test_nonfinite_samples_raise_with_count_and_first_index():
+    cfg = MCConfig(samples=500, steps=16, seed=127)
+    coeffs = Coefficients(G=g_nan_right, space=SP)
+    paths = sample_bm_block(cfg.seed, 0, cfg.samples, [0.0], PathGrid(1.0, cfg.steps))
+    hit = np.flatnonzero((paths[:, :, 0] > 0.3).any(axis=1))
+    assert 0 < hit.size < cfg.samples
+    message = f"{hit.size} of {cfg.samples} integrand samples are non-finite; " \
+              f"the first is at path index {hit[0]}"
+    with pytest.raises(FloatingPointError, match=message):
+        estimate_Tt_element([0.0], VAC, GAUSS_STATE, 1.0, coeffs, FREE, cfg)
