@@ -429,12 +429,11 @@ def c10_flow_equation(scale, seed, workers):
         np.asarray(x).shape[:-1], 0.3), G=_bump_coupling(0.4), space=SP1)
     n_paths = max(5, int(round(20 * scale)))
     t, n_steps, split = 0.8, 16, 7
-    rng = np.random.default_rng(seed + 9)
     u = SP1.vector([0.3 + 0.1j])
     g = SP1.vector([0.2 - 0.2j])
     worst = {8: 0.0, 12: 0.0}
-    for i in range(n_paths):
-        pos = sample_bm_block(seed + 9, i, 1, [0.0], PathGrid(t, n_steps))[0]
+    block = sample_bm_block(seed + 9, 0, n_paths, [0.0], PathGrid(t, n_steps))
+    for pos in block:
         path = SampledPath(PathGrid(t, n_steps), pos, "free", start=pos[0].copy())
         seg1, seg2 = subpath(path, 0, split), subpath(path, split, n_steps)
         s_w, k_w = compute_S(path, coeffs), compute_K(path, coeffs)
@@ -480,8 +479,8 @@ def c11_contraction_bound(scale, seed, workers):
     rng = np.random.default_rng(seed + 10)
     grid = PathGrid(0.6, 32)
     worst_slack = np.inf
-    for i in range(n_paths):
-        pos = sample_bm_block(seed + 10, i, 1, [0.0], grid)[0]
+    block = sample_bm_block(seed + 10, 0, n_paths, [0.0], grid)
+    for i, pos in enumerate(block):
         path = SampledPath(grid, pos, "free", start=pos[0].copy())
         res = evaluate_action(path, coeffs)
         inp = IntegrandInputs(grid.horizon, res.S, res.K, SP1)

@@ -539,12 +539,14 @@ def compare(path_a, path_b, tolspec: dict) -> dict:
     {"mode": "abs", "tol": x} compares absolutely.  A "per_experiment" map
     overrides the criterion for matching experiment ids, so one call can mix
     absolute and statistical verdicts.  Rows are matched by
-    (experiment, x, y, t); a row present in only one file is reported as
-    "missing" (only in a) or "extra" (only in b) and fails the comparison.
+    (experiment, x, y, t), comparing x, y and t as numbers, so "0.9" and
+    "0.90000000000000002" match; a row present in only one file is reported
+    as "missing" (only in a) or "extra" (only in b) and fails the comparison.
     """
     rows_a = _read_csv(path_a)
     rows_b = _read_csv(path_b)
-    key = lambda r: (r["experiment"], r["x"], r["y"], r["t"])
+    key = lambda r: (r["experiment"],) + tuple(
+        float(r[c]) if r[c] else "" for c in ("x", "y", "t"))
     index_b = {key(r): r for r in rows_b}
     overrides = tolspec.get("per_experiment", {})
     verdicts = []

@@ -4,6 +4,13 @@ detection for open domains, and the soft-confinement penalty integral.
 Randomness contract: every path is generated from its own counter-based
 stream keyed by (global seed, path index), so results are bitwise
 reproducible regardless of how paths are partitioned across workers.
+
+A block sampler builds one Philox bit generator per call and re-keys it for
+each path: it sets the 128-bit key, zeroes the counter and empties the
+output buffer, which leaves the generator in the state a fresh
+``Philox(key=...)`` starts in.  The streams are the same bytes as with one
+generator per path, without the per-path construction cost (numpy's
+constructor also draws a throwaway ``SeedSequence`` from OS entropy).
 """
 
 from __future__ import annotations
@@ -177,10 +184,33 @@ class SampledPath:
         return np.diff(self.positions, axis=0)
 
 
-def stream_generator(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, path index)."""
-    key = ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | (int(index) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key))
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def stream_generator(
+    seed: int, index: int, bitgen: Optional[np.random.Philox] = None
+) -> np.random.Generator:
+    """Counter-based stream keyed by (seed, path index).
+
+    The Philox key is the 128-bit integer (seed mod 2^64) * 2^64 + (index
+    mod 2^64), i.e. key words [index, seed].  Without ``bitgen`` a new Philox
+    is built.  With one, that generator is re-keyed in place (counter 0,
+    buffer empty, no cached 32-bit half) and wrapped; the draws are then
+    identical to a fresh generator's, whatever state ``bitgen`` was left in.
+    The previous stream drawn from ``bitgen`` is gone after the call.
+    """
+    key = (int(index) & _U64, int(seed) & _U64)
+    if bitgen is None:
+        return np.random.Generator(np.random.Philox(key=key[0] | key[1] << 64))
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen)
 
 
 def _as_generator(stream) -> np.random.Generator:
@@ -197,14 +227,13 @@ def _normals_block(seed, index0, count, n, nu, antithetic=False):
     member uses the negated draws.
     """
     out = np.empty((count, n, nu))
+    bitgen = np.random.Philox(0)
     for i in range(count):
         idx = index0 + i
-        if antithetic:
-            gen = stream_generator(seed, idx // 2)
-            z = gen.standard_normal((n, nu))
-            out[i] = z if idx % 2 == 0 else -z
-        else:
-            out[i] = stream_generator(seed, idx).standard_normal((n, nu))
+        stream = idx // 2 if antithetic else idx
+        stream_generator(seed, stream, bitgen).standard_normal((n, nu), out=out[i])
+        if antithetic and idx % 2:
+            np.negative(out[i], out=out[i])
     return out
 
 

@@ -144,6 +144,27 @@ def test_compare_reports_rows_only_in_second_file(tmp_path):
     assert sorted(r["status"] for r in reverse["rows"]) == ["missing", "ok"]
 
 
+def test_compare_matches_rows_by_value(tmp_path):
+    row = {"experiment": "kernel", "x": 0.9, "y": 0.2, "t": 0.2, "re": 0.7,
+           "im": 0.0, "stderr": 0.01, "n": 100, "seed": 1, "config_hash": "a"}
+    written = tmp_path / "written.csv"
+    written.write_text(rows_to_csv([row]))
+    assert "0.90000000000000002" in written.read_text()
+    by_hand = tmp_path / "by_hand.csv"
+    by_hand.write_text("experiment,x,y,t,re,im,stderr,n,seed,config_hash\n"
+                       "kernel,0.9,0.2,0.2,0.7,0,0.01,100,1,a\n")
+    for a, b in ((written, by_hand), (by_hand, written)):
+        report = compare(a, b, {"mode": "stat", "z": 3.0})
+        assert report["passed"]
+        assert [r["status"] for r in report["rows"]] == ["ok"]
+    # a genuinely different x is still unmatched
+    other = tmp_path / "other.csv"
+    other.write_text(rows_to_csv([dict(row, x=0.9 + 1e-12)]))
+    report = compare(by_hand, other, {"mode": "stat", "z": 3.0})
+    assert not report["passed"]
+    assert sorted(r["status"] for r in report["rows"]) == ["extra", "missing"]
+
+
 def test_penalty_sweep_run(tmp_path):
     payload = {
         "experiment": "penalty-sweep",

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from fkpf.paths import (
     sample_bm_block,
     sample_bridge,
     sample_bridge_block,
+    stream_generator,
     subpath,
 )
 from fkpf.reference import heat_kernel, interval_image_kernel
@@ -77,6 +79,74 @@ def test_antithetic_pairing():
     block = sample_bm_block(3, 0, 4, [0.0], grid, antithetic=True)
     assert np.allclose(block[0] + block[1], 0.0)
     assert not np.allclose(block[0], block[2])
+
+
+# (seed, index0) pairs that exercise the 64-bit masking of both key words
+STREAM_KEYS = [(9, 0), (9, 5), (2**64 + 3, 2), (-7, 1), (4, 2**64 + 1)]
+
+
+def _fresh_normals(seed, index, n, nu):
+    return stream_generator(seed, index).standard_normal((n, nu))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("seed,index0", STREAM_KEYS)
+def test_block_rows_equal_fresh_streams(seed, index0, nu):
+    grid = PathGrid(0.8, 12)
+    x, y = np.linspace(-0.5, 0.5, nu), np.linspace(0.2, 0.4, nu)
+    bm = sample_bm_block(seed, index0, 4, x, grid)
+    bridge = sample_bridge_block(seed, index0, 4, y, x, grid)
+    for i in range(4):
+        z = _fresh_normals(seed, index0 + i, grid.steps, nu)
+        pos = np.empty((grid.steps + 1, nu))
+        pos[0] = x
+        np.cumsum(np.sqrt(grid.dt) * z, axis=0, out=pos[1:])
+        pos[1:] += x
+        assert np.array_equal(bm[i], pos)
+        assert np.array_equal(bridge[i], sample_bridge(
+            stream_generator(seed, index0 + i), y, x, grid).positions)
+
+
+@pytest.mark.parametrize("seed,index0", STREAM_KEYS)
+def test_antithetic_rows_pair_from_odd_start(seed, index0):
+    grid = PathGrid(1.0, 10)
+    index0 += 1 - index0 % 2  # odd, so the first row is a negated member
+    block = sample_bm_block(seed, index0, 5, [0.0, 0.0], grid, antithetic=True)
+    for i in range(5):
+        idx = index0 + i
+        z = _fresh_normals(seed, idx // 2, grid.steps, 2)
+        sign = -1.0 if idx % 2 else 1.0
+        expect = np.concatenate(
+            [np.zeros((1, 2)), np.cumsum(np.sqrt(grid.dt) * sign * z, axis=0)])
+        assert np.array_equal(block[i], expect)
+    # rows 1 and 2 share stream (index0 + 1) // 2 with opposite signs
+    assert np.array_equal(block[1], -block[2])
+    assert not np.array_equal(block[0], -block[1])
+
+
+def test_rekey_leaves_no_state_behind():
+    bitgen = np.random.Philox(0)
+    gen = stream_generator(3, 10, bitgen)
+    gen.standard_normal(5)
+    gen.integers(0, 7, size=3, dtype=np.uint32)
+    assert bitgen.state["has_uint32"] == 1
+    assert bitgen.state["buffer_pos"] != 4
+    rekeyed, fresh = stream_generator(3, 11, bitgen), stream_generator(3, 11)
+    assert bitgen.state["state"]["key"].tolist() == [11, 3]
+    # full-range uint32 draws expose a stale cached half word
+    assert np.array_equal(rekeyed.integers(0, 2**32, size=5, dtype=np.uint32),
+                          fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+    assert np.array_equal(rekeyed.standard_normal((6, 2)),
+                          fresh.standard_normal((6, 2)))
+
+
+def test_bridge_block_bytes_pinned():
+    # Digest of the stream as first shipped; a change here means every MC
+    # number moved, which must be a deliberate edit of this test.
+    block = sample_bridge_block(20240607, 11, 6, [-0.3, 0.2], [0.4, 0.1],
+                                PathGrid(0.5, 24))
+    assert hashlib.sha256(block.tobytes()).hexdigest() == (
+        "ecbb0a9bb570065629077bc8adf82bb01b40733259565aa9cef08d63b05d2e54")
 
 
 def test_bridge_moments():
