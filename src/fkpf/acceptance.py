@@ -14,12 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import CoefficientTable, Coefficients, compute_K, compute_K_div, \
-    compute_S, compute_S_div, evaluate_action
+from . import integrand
+from .action import (
+    CoefficientTable,
+    Coefficients,
+    action_block,
+    compute_K,
+    compute_S,
+    divergence_action_block,
+    divergence_atoms_block,
+)
 from .fock import NumberBasisSpace, embed_expvec
 from .integrand import (
     IntegrandInputs,
-    contraction_check,
     gmm_matrix_element,
     gmm_operator,
     w_kernel_matrix_element,
@@ -48,9 +55,11 @@ from .paths import (
 )
 from .reference import gaussian_free_semigroup, heat_kernel, interval_eigen_kernel
 from .semigroup import (
+    FieldKernels,
     MCConfig,
     StateSpec,
     atom_gram_form,
+    element_block,
     estimate_kernel_element,
     estimate_penalized_element,
     estimate_Tt_element,
@@ -78,6 +87,29 @@ class CriterionResult:
 
 def _n(scale: float, full: int, floor: int = 64) -> int:
     return max(floor, int(round(full * scale)))
+
+
+# path-steps that c07 and c11 evaluate at once: bounds their working arrays;
+# every per-path number is the same for any chunk size
+_CHUNK_PATH_STEPS = 2**13
+
+
+def _row_chunks(n_paths: int, n_steps: int) -> list:
+    """Row slices covering n_paths paths of n_steps steps in chunks."""
+    rows = max(1, _CHUNK_PATH_STEPS // (n_steps + 1))
+    return [slice(i, min(i + rows, n_paths)) for i in range(0, n_paths, rows)]
+
+
+def _contraction_params(seed: int, n_paths: int):
+    """The exponential-vector parameters u, g of c11, each (n_paths, 1).
+
+    One row of draws per path, [u.re, u.im, g.re, g.im], in the order the
+    per-path draws of size 1 take from the stream.
+    """
+    draws = np.random.default_rng(seed).normal(size=(n_paths, 4))
+    u = 0.8 * (draws[:, 0:1] + 1j * draws[:, 1:2])
+    g = 0.8 * (draws[:, 2:3] + 1j * draws[:, 3:4])
+    return u, g
 
 
 def _mc_row(cid, est, x, y, t):
@@ -314,19 +346,18 @@ def c07_action_route_consistency(scale, seed, workers):
     rms_s, rms_k = [], []
     for n_steps in levels:
         stride = master // n_steps
-        grid = PathGrid(t, n_steps)
+        dt = PathGrid(t, n_steps).dt
         gaps_s = np.empty(n_paths)
         amp_diffs = np.empty((n_paths, n_steps + 1, 1))
-        for i in range(n_paths):
-            pos = base[i, ::stride, :]
-            path = SampledPath(grid, pos, "free", start=pos[0].copy())
-            gaps_s[i] = abs(compute_S(path, coeffs) - compute_S_div(path, coeffs))
-            k_trap = compute_K(path, coeffs)
-            k_div = compute_K_div(path, coeffs)
-            div_amps = (k_div.weights[:, None] * k_div.vectors).real
-            merged = div_amps[: n_steps + 1] + div_amps[n_steps + 1 :]
-            amp_diffs[i] = k_trap.vectors.real - merged
-        norm_sq = atom_gram_form(amp_diffs, SP1.omega, grid.dt)
+        for rows in _row_chunks(n_paths, n_steps):
+            pos = base[rows, ::stride]
+            s_trap, k_trap = action_block(pos, coeffs, dt)
+            s_div = divergence_action_block(pos, coeffs, dt)
+            ito_amps, div_amps = divergence_atoms_block(pos, coeffs, dt)
+            gaps_s[rows] = np.abs(s_trap - s_div)
+            amp_diffs[rows] = k_trap - (ito_amps + div_amps)
+        # the Gram form's loop over the steps runs once per level, not per chunk
+        norm_sq = atom_gram_form(amp_diffs, SP1.omega, dt)
         rms_s.append(float(np.sqrt(np.mean(gaps_s**2))))
         rms_k.append(float(np.sqrt(np.mean(norm_sq))))
     dts = np.log([t / n for n in levels])
@@ -476,24 +507,31 @@ def c11_contraction_bound(scale, seed, workers):
 
     coeffs = Coefficients(A=a_sin, V=v_pos, G=_bump_coupling(0.8), space=SP1)
     n_paths = _n(scale, 10000)
-    rng = np.random.default_rng(seed + 10)
     grid = PathGrid(0.6, 32)
-    worst_slack = np.inf
+    field = FieldKernels.on_grid(SP1.omega, grid)
+    u, g = _contraction_params(seed + 10, n_paths)
     block = sample_bm_block(seed + 10, 0, n_paths, [0.0], grid)
-    for i, pos in enumerate(block):
-        path = SampledPath(grid, pos, "free", start=pos[0].copy())
-        res = evaluate_action(path, coeffs)
-        inp = IntegrandInputs(grid.horizon, res.S, res.K, SP1)
-        u = SP1.vector(0.8 * (rng.normal(size=1) + 1j * rng.normal(size=1)))
-        g = SP1.vector(0.8 * (rng.normal(size=1) + 1j * rng.normal(size=1)))
-        for kind in ("kernel", "star"):
-            ok, slack = contraction_check(inp, u, g, kind=kind)
-            worst_slack = min(worst_slack, slack)
-            if not ok:
-                return CriterionResult(
-                    "c11", "per-sample contraction bound", False,
-                    {"violation_slack": slack, "path": i},
-                )
+    worst_slack = np.inf
+    for rows in _row_chunks(n_paths, grid.steps):
+        s_val, amps = action_block(block[rows], coeffs, grid.dt)
+        u_r, g_r = u[rows], g[rows]
+        norms = (np.conj(u_r) * u_r + np.conj(g_r) * g_r).real.sum(axis=1)
+        bound = np.exp(-s_val.real + 0.5 * norms) * (1.0 + integrand.CONTRACTION_SLACK)
+        # columns: the kernel element, then the star element, which is the
+        # conjugate of the kernel element with u and g swapped and so has
+        # the modulus of that element
+        elems = np.stack([element_block(s_val, amps, u_r, g_r, field),
+                          element_block(s_val, amps, g_r, u_r, field)], axis=1)
+        slack = bound[:, None] - np.abs(elems)
+        bad = np.flatnonzero(~(slack >= 0.0))
+        if bad.size:
+            row, kind = divmod(int(bad[0]), 2)
+            return CriterionResult(
+                "c11", "per-sample contraction bound", False,
+                {"violation_slack": float(slack[row, kind]),
+                 "path": rows.start + row},
+            )
+        worst_slack = min(worst_slack, float(slack.min()))
     return CriterionResult(
         "c11", "per-sample contraction bound", True,
         {"worst_slack": worst_slack, "paths": n_paths},

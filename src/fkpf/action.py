@@ -33,6 +33,9 @@ __all__ = [
     "compute_K",
     "compute_S_div",
     "compute_K_div",
+    "action_block",
+    "divergence_action_block",
+    "divergence_atoms_block",
     "localize_gate",
     "evaluate_action",
     "merge_atoms",
@@ -119,9 +122,11 @@ def compute_S(path: SampledPath, coeffs: Coefficients) -> complex:
     return complex(re, im)
 
 
-def _coupling_values(path: SampledPath, coeffs: Coefficients) -> np.ndarray:
-    gvals = np.asarray(coeffs.G(path.positions), dtype=float)
-    expected = (path.grid.steps + 1, path.nu, coeffs.space.mode_count)
+def _coupling_values(positions: np.ndarray, coeffs: Coefficients) -> np.ndarray:
+    """G at every point of a path, (n+1, nu, M), or of a block of paths,
+    (B, n+1, nu, M)."""
+    gvals = np.asarray(coeffs.G(positions), dtype=float)
+    expected = positions.shape + (coeffs.space.mode_count,)
     if gvals.shape != expected:
         raise ValueError(f"coupling values have shape {gvals.shape}, want {expected}")
     return gvals
@@ -139,7 +144,7 @@ def compute_K(path: SampledPath, coeffs: Coefficients,
         raise ValueError("compute_K needs a mode space")
     if coeffs.G is None:
         return NelsonVector.empty(space)
-    gvals = _coupling_values(path, coeffs)
+    gvals = _coupling_values(path.positions, coeffs)
     db = path.increments()
     n = path.grid.steps
     pad = np.zeros((1, path.nu))
@@ -153,47 +158,121 @@ def compute_K(path: SampledPath, coeffs: Coefficients,
     return NelsonVector(space, path.grid.times, np.ones(n + 1, dtype=complex), amps)
 
 
-def compute_S_div(path: SampledPath, coeffs: Coefficients) -> complex:
-    """Divergence-form action: forward Ito sum plus half the divA integral."""
+def _require_regular(coeffs: Coefficients):
     if coeffs.smoothness != "regular":
         raise ValueError("divergence form requires regular coefficients")
+
+
+def _potential_block(positions: np.ndarray, coeffs: Coefficients, dt: float):
+    """Trapezoid integral of V - U along each path of a block, (B,)."""
+    if coeffs.V is None and coeffs.U is None:
+        return np.zeros(positions.shape[0])
+    pot = np.zeros(positions.shape[:2])
+    if coeffs.V is not None:
+        pot = pot + np.asarray(coeffs.V(positions), dtype=float)
+    if coeffs.U is not None:
+        pot = pot - np.asarray(coeffs.U(positions), dtype=float)
+    return 0.5 * dt * (pot[:, :-1] + pot[:, 1:]).sum(axis=1)
+
+
+def _padded_increments(db: np.ndarray):
+    """The increments dB_l of a block, (B, n, nu), zero-padded to n+1 rows
+    before (dB_l at time l) and after (dB_{l+1} at time l)."""
+    pad = np.zeros((db.shape[0], 1, db.shape[2]))
+    return np.concatenate([pad, db], axis=1), np.concatenate([db, pad], axis=1)
+
+
+def action_block(positions: np.ndarray, coeffs: Coefficients, dt: float):
+    """Trapezoid route over a (B, n+1, nu) block of paths.
+
+    Returns S, complex (B,), and the merged atom amplitudes of K, real
+    (B, n+1, M), or None when G is absent: the quantities of
+    :func:`compute_S` and :func:`compute_K` for every path at once.
+    """
+    s_re = _potential_block(positions, coeffs, dt)
+    s_im = np.zeros(positions.shape[0])
+    db = np.diff(positions, axis=1)
+    if coeffs.A is not None:
+        avals = np.asarray(coeffs.A(positions), dtype=float)
+        fwd = np.einsum("blj,blj->b", avals[:, :-1, :], db)
+        bwd = np.einsum("blj,blj->b", avals[:, 1:, :], db)
+        s_im = -0.5 * (fwd + bwd)
+    s_val = s_re + 1j * s_im
+    if coeffs.G is None:
+        return s_val, None
+    gvals = np.asarray(coeffs.G(positions), dtype=float)
+    db_prev, db_next = _padded_increments(db)
+    amps = 0.5 * np.einsum("bljm,blj->blm", gvals, db_prev) + 0.5 * np.einsum(
+        "bljm,blj->blm", gvals, db_next
+    )
+    return s_val, amps
+
+
+def divergence_action_block(positions: np.ndarray, coeffs: Coefficients,
+                            dt: float) -> np.ndarray:
+    """Divergence-form action of a (B, n+1, nu) block, complex (B,): the
+    potential trapezoid minus i times (forward Ito sum of A plus half the
+    trapezoid integral of divA)."""
+    _require_regular(coeffs)
     if coeffs.A is not None and coeffs.divA is None:
         raise ValueError("divergence form needs divA alongside A")
-    re = math.fsum(_potential_terms(path, coeffs))
-    fwd, _ = _vector_sums(path, coeffs)
-    im = -math.fsum(fwd)
+    s_re = _potential_block(positions, coeffs, dt)
+    s_im = np.zeros(positions.shape[0])
+    if coeffs.A is not None:
+        avals = np.asarray(coeffs.A(positions), dtype=float)
+        db = np.diff(positions, axis=1)
+        s_im = -np.einsum("blj,blj->b", avals[:, :-1, :], db)
     if coeffs.divA is not None:
-        divvals = np.asarray(coeffs.divA(path.positions), dtype=float)
-        im -= 0.5 * math.fsum(0.5 * path.grid.dt * (divvals[:-1] + divvals[1:]))
-    return complex(re, im)
+        divvals = np.asarray(coeffs.divA(positions), dtype=float)
+        s_im = s_im - 0.5 * (0.5 * dt * (divvals[:, :-1] + divvals[:, 1:])).sum(axis=1)
+    return s_re + 1j * s_im
+
+
+def divergence_atoms_block(positions: np.ndarray, coeffs: Coefficients, dt: float):
+    """Divergence-form atoms of a (B, n+1, nu) block, or None when G is absent.
+
+    Returns (ito_amps, div_amps), each real (B, n+1, M): the left-endpoint
+    Ito atoms G(B_l).dB_{l+1} (zero at the last time) and the divG atoms
+    carrying half the trapezoid time weights.
+    """
+    _require_regular(coeffs)
+    if coeffs.G is None:
+        return None
+    if coeffs.divG is None:
+        raise ValueError("divergence form needs divG alongside G")
+    gvals = _coupling_values(positions, coeffs)
+    _, db_next = _padded_increments(np.diff(positions, axis=1))
+    ito_amps = np.einsum("bljm,blj->blm", gvals, db_next)
+    divvals = np.asarray(coeffs.divG(positions), dtype=float)
+    tw = np.ones(positions.shape[1])
+    tw[0] = tw[-1] = 0.5
+    div_amps = 0.5 * dt * tw[:, None] * divvals
+    return ito_amps, div_amps
+
+
+def compute_S_div(path: SampledPath, coeffs: Coefficients) -> complex:
+    """Divergence-form action: forward Ito sum plus half the divA integral;
+    the one-path view of :func:`divergence_action_block`."""
+    return complex(
+        divergence_action_block(path.positions[None], coeffs, path.grid.dt)[0]
+    )
 
 
 def compute_K_div(path: SampledPath, coeffs: Coefficients,
                   space: Optional[OneBosonSpace] = None) -> NelsonVector:
     """Divergence-form atom sum: left-endpoint Ito atoms plus divG atoms
-    carrying half the trapezoid time weights."""
-    if coeffs.smoothness != "regular":
-        raise ValueError("divergence form requires regular coefficients")
+    carrying half the trapezoid time weights; the one-path view of
+    :func:`divergence_atoms_block`."""
+    atoms = divergence_atoms_block(path.positions[None], coeffs, path.grid.dt)
     space = coeffs.space if coeffs.space is not None else space
     if space is None:
         raise ValueError("compute_K_div needs a mode space")
-    if coeffs.G is None:
+    if atoms is None:
         return NelsonVector.empty(space)
-    if coeffs.divG is None:
-        raise ValueError("divergence form needs divG alongside G")
-    gvals = _coupling_values(path, coeffs)
-    db = path.increments()
-    n = path.grid.steps
-    pad = np.zeros((1, path.nu))
-    db_next = np.concatenate([db, pad], axis=0)
-    ito_amps = np.einsum("ljm,lj->lm", gvals, db_next)  # zero at the last time
-    divvals = np.asarray(coeffs.divG(path.positions), dtype=float)
-    tw = np.ones(n + 1)
-    tw[0] = tw[-1] = 0.5
-    div_amps = 0.5 * path.grid.dt * tw[:, None] * divvals
+    ito_amps, div_amps = atoms
     times = np.concatenate([path.grid.times, path.grid.times])
-    weights = np.ones(2 * (n + 1), dtype=complex)
-    vectors = np.concatenate([ito_amps, div_amps], axis=0)
+    weights = np.ones(times.size, dtype=complex)
+    vectors = np.concatenate([ito_amps[0], div_amps[0]], axis=0)
     return NelsonVector(space, times, weights, vectors)
 
 

@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import jsonschema
 import numpy as np
@@ -50,99 +51,161 @@ __all__ = [
 CSV_COLUMNS = ["experiment", "x", "y", "t", "re", "im", "stderr", "n", "seed",
                "config_hash"]
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["experiment", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {
-            "enum": ["semigroup", "kernel", "diamagnetic", "penalty-sweep",
-                     "mollify-converge", "selftest"],
-        },
+def _block(properties: dict, required=(), **extra) -> dict:
+    """A config object that accepts only the listed keys."""
+    schema = {"type": "object", "additionalProperties": False,
+              "properties": properties, **extra}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+def _when(key: str, values, then: dict, otherwise: Optional[dict] = None) -> dict:
+    """if/then/else on the value of one key of the enclosing object."""
+    rule = {"if": {"required": [key], "properties": {key: {"enum": list(values)}}},
+            "then": then}
+    if otherwise is not None:
+        rule["else"] = otherwise
+    return rule
+
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+# complex amplitudes, one [re, im] pair per mode
+_PAIRS = {"type": "array", "items": {"type": "array", "items": {"type": "number"},
+                                     "minItems": 2, "maxItems": 2}}
+
+# gating is either the exit indicator, with or without the crossing
+# correction, or the soft penalty; a key of one form is an error in the other
+_GATING = {
+    "oneOf": [
+        _block({"mode": {"const": "indicator"}, "correction": {"type": "boolean"}}),
+        _block({"mode": {"const": "penalty"}, "kappa": _POSITIVE, "n_cap": _POSITIVE},
+               required=("mode", "kappa", "n_cap")),
+    ],
+}
+
+_COEFFICIENTS = _block(
+    {
+        "name": {"enum": ["zero", "constant_V", "constant_A", "sine_A",
+                          "gaussian_bump_G", "table"]},
+        "params": {"type": "object"},
+        "table_path": {"type": "string"},
+    },
+    required=("name",),
+    allOf=[
+        _when("name", ["constant_V", "constant_A"],
+              {"properties": {"params": _block({"level": {"type": "number"}})}}),
+        _when("name", ["gaussian_bump_G"],
+              {"properties": {"params": _block({"strength": {"type": "number"}})}}),
+        _when("name", ["zero", "sine_A", "table"],
+              {"properties": {"params": _block({})}}),
+        _when("name", ["table"], {"required": ["table_path"]},
+              {"not": {"required": ["table_path"]}}),
+    ],
+)
+
+_STATE = _block(
+    {
+        "profile": {"enum": ["gaussian", "indicator"]},
+        "params": {"type": "object"},
+        "field": _PAIRS,
+    },
+    required=("profile",),
+    allOf=[
+        _when("profile", ["gaussian"], {"properties": {"params": _block(
+            {"center": {"type": "number"}, "width": _POSITIVE})}}),
+        _when("profile", ["indicator"], {"properties": {"params": _block(
+            {"lo": {"type": "number"}, "hi": {"type": "number"}})}}),
+    ],
+)
+
+# the blocks each experiment reads, and the point keys it reads
+_EXPERIMENT_NEEDS = {
+    "semigroup": (("domain", "coefficients", "state", "mc", "points"), ("x", "t")),
+    "kernel": (("domain", "coefficients", "mc", "points"), ("x", "y", "t")),
+    "penalty-sweep": (("domain", "coefficients", "mc", "points"), ("x", "y", "t")),
+    "diamagnetic": (("domain", "coefficients", "oracle"), ()),
+    "mollify-converge": (("domain", "coefficients", "oracle"), ()),
+    "selftest": ((), ()),
+}
+
+
+def _experiment_rule(name: str) -> dict:
+    blocks, point_keys = _EXPERIMENT_NEEDS[name]
+    then = {"required": list(blocks), "properties": {}}
+    if point_keys:
+        then["properties"]["points"] = {"required": list(point_keys)}
+    if name == "mollify-converge":
+        then["properties"]["coefficients"] = {"required": ["table_path"]}
+    return _when("experiment", [name], then)
+
+
+CONFIG_SCHEMA = _block(
+    {
+        "experiment": {"enum": list(_EXPERIMENT_NEEDS)},
         "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string"},
-        "domain": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
+        "domain": _block(
+            {
                 "kind": {"enum": ["all_space", "interval", "box", "ball",
                                   "half_space"]},
                 "nu": {"type": "integer", "minimum": 1},
                 "params": {"type": "array"},
             },
-        },
-        "modes": {
-            "type": "object",
-            "properties": {"omega": {"type": "array",
-                                     "items": {"type": "number",
-                                               "exclusiveMinimum": 0}}},
-        },
-        "coefficients": {
-            "type": "object",
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": ["zero", "constant_V", "constant_A", "sine_A",
-                                  "gaussian_bump_G", "table"]},
-                "params": {"type": "object"},
-                "table_path": {"type": "string"},
-            },
-        },
-        "state": {
-            "type": "object",
-            "required": ["profile"],
-            "properties": {
-                "profile": {"enum": ["gaussian", "indicator"]},
-                "params": {"type": "object"},
-                "field": {"type": "array"},
-            },
-        },
-        "mc": {
-            "type": "object",
-            "required": ["samples", "steps"],
-            "properties": {
+            required=("kind",),
+        ),
+        "modes": _block({"omega": {"type": "array", "items": _POSITIVE}}),
+        "coefficients": _COEFFICIENTS,
+        "state": _STATE,
+        "mc": _block(
+            {
                 "samples": {"type": "integer", "minimum": 2},
                 "steps": {"type": "integer", "minimum": 2},
-                "gating": {"type": "object"},
+                "gating": _GATING,
                 "antithetic": {"type": "boolean"},
             },
-        },
-        "points": {
-            "type": "object",
-            "properties": {
-                "x": {"type": "array"},
-                "y": {"type": "array"},
-                "t": {"type": "number", "exclusiveMinimum": 0},
-                "u": {"type": "array"},
-                "g": {"type": "array"},
-            },
-        },
-        "oracle": {
-            "type": "object",
-            "properties": {
-                "grid": {"type": "object"},
+            required=("samples", "steps"),
+        ),
+        "points": _block({
+            "x": _NUMBERS,
+            "y": _NUMBERS,
+            "t": _POSITIVE,
+            "u": _PAIRS,
+            "g": _PAIRS,
+        }),
+        "oracle": _block(
+            {
+                "grid": _block(
+                    {"lo": {"type": "number"}, "hi": {"type": "number"},
+                     "points": {"type": "integer", "minimum": 2}},
+                    required=("lo", "hi", "points"),
+                ),
                 "cutoff": {"type": "integer", "minimum": 0},
-                "E": {"type": "array"},
+                "E": _NUMBERS,
                 "trials": {"type": "integer", "minimum": 1},
                 "n_list": {"type": "array"},
             },
-        },
-        "penalty": {
-            "type": "object",
-            "properties": {
-                "kappa": {"type": "number", "exclusiveMinimum": 0},
-                "n_cap_list": {"type": "array"},
-            },
-        },
-        "selftest": {
-            "type": "object",
-            "properties": {
-                "scale": {"type": "number", "exclusiveMinimum": 0},
-                "criteria": {"type": "array", "items": {"type": "string"}},
-                "workers": {"type": "integer", "minimum": 0},
-            },
-        },
+            required=("grid",),
+        ),
+        "penalty": _block({
+            "kappa": _POSITIVE,
+            "n_cap_list": {"type": "array", "items": _POSITIVE},
+        }),
+        "selftest": _block({
+            "scale": _POSITIVE,
+            "criteria": {"type": "array", "items": {"type": "string"}},
+            "workers": {"type": "integer", "minimum": 0},
+        }),
     },
-}
+    required=("experiment", "seed"),
+    allOf=[_experiment_rule(name) for name in _EXPERIMENT_NEEDS],
+)
+
+# built once: ``jsonschema.validate`` checks the schema itself against the
+# metaschema on every call, which costs more than validating a config; the
+# tests check the schema once
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 @dataclass
@@ -187,7 +250,9 @@ class RunManifest:
 def load_config(path) -> ExperimentConfig:
     with open(path) as handle:
         raw = json.load(handle)
-    jsonschema.validate(raw, CONFIG_SCHEMA)
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise error
     return ExperimentConfig(raw)
 
 

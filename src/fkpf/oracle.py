@@ -312,12 +312,18 @@ def build_pauli_fierz(
     return DiscreteOperator(out, sites, meta)
 
 
+def _to_eigenbasis(v: np.ndarray, vec) -> np.ndarray:
+    """V^H vec for a vector or a matrix of column vectors, computed as
+    (vec^H V)^H so that no conjugated copy of the eigenvector matrix is made."""
+    return (np.asarray(vec, dtype=complex).conj().T @ v).conj().T
+
+
 def semigroup_apply(op: DiscreteOperator, t: float, vec: np.ndarray) -> np.ndarray:
     """e^{-tH} vec via the cached eigendecomposition."""
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
     w, v = op.eigensystem()
-    return v @ (np.exp(-t * w) * (v.conj().T @ np.asarray(vec, dtype=complex)))
+    return v @ (np.exp(-t * w) * _to_eigenbasis(v, vec))
 
 
 def resolvent_apply(op: DiscreteOperator, E: float, vec: np.ndarray) -> np.ndarray:
@@ -327,7 +333,7 @@ def resolvent_apply(op: DiscreteOperator, E: float, vec: np.ndarray) -> np.ndarr
         raise ValueError(
             f"indefinite shift: E = {E} does not dominate -min eigenvalue {-w[0]}"
         )
-    return v @ ((v.conj().T @ np.asarray(vec, dtype=complex)) / (w + E))
+    return v @ (_to_eigenbasis(v, vec) / (w + E))
 
 
 def diamagnetic_check(

@@ -13,6 +13,14 @@ whose time kernel e^{-omega|s - r|} is an Ornstein-Uhlenbeck covariance, so
 ``atom_gram_form`` evaluates it by a first-order recursion in O(n) per path,
 without forming the (n+1, n+1) Gram matrix.  A non-finite integrand sample
 stops the estimate instead of entering the mean.
+
+The integrand over a (B, n+1, nu) block is two plan-free calls:
+``action.action_block`` gives the trapezoid action S and the atom
+amplitudes, and ``element_block`` turns them into kernel-direction elements
+for exponential-vector parameters shared by the block or given per path,
+using the grid kernels that ``FieldKernels`` precomputes once per time
+grid.  The acceptance criteria that check per-path claims (c07, c11) call
+the same two functions.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .action import Coefficients
+from .action import Coefficients, action_block
 from .oneboson import OneBosonSpace, OneBosonVector
 from .paths import (
     Domain,
@@ -43,6 +51,8 @@ __all__ = [
     "MCConfig",
     "StateSpec",
     "Estimate",
+    "FieldKernels",
+    "element_block",
     "atom_gram_form",
     "estimate_Tt_element",
     "estimate_kernel_element",
@@ -160,6 +170,30 @@ def _describe_coeffs(coeffs: Coefficients) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class FieldKernels:
+    """Mode-decay kernels on one uniform time grid of step dt and horizon t:
+    the pullback rows e^{-omega s_l} and e^{-omega (t - s_l)}, each (M, n+1),
+    and the free field factor e^{-t omega}, (M,)."""
+
+    omega: np.ndarray
+    dt: float
+    decay0: np.ndarray
+    decay_t: np.ndarray
+    heat_t: np.ndarray
+
+    @classmethod
+    def on_grid(cls, omega: np.ndarray, grid: PathGrid) -> "FieldKernels":
+        t, times = grid.horizon, grid.times
+        return cls(
+            omega=omega,
+            dt=grid.dt,
+            decay0=np.exp(-np.outer(omega, times)),
+            decay_t=np.exp(-np.outer(omega, t - times)),
+            heat_t=np.exp(-t * omega),
+        )
+
+
 @dataclass
 class _Plan:
     """Frozen inputs plus precomputed grid kernels for one estimator run."""
@@ -177,17 +211,12 @@ class _Plan:
     g_amp: np.ndarray
     omega: Optional[np.ndarray]
     profile: Optional[Callable]
-    decay0: Optional[np.ndarray] = None      # (M, n+1)
-    decay_t: Optional[np.ndarray] = None     # (M, n+1)
-    heat_t: Optional[np.ndarray] = None      # (M,)
+    field: Optional[FieldKernels] = None
     bound_factor: float = 1.0
 
     def __post_init__(self):
         if self.omega is not None:
-            times = self.grid.times
-            self.decay0 = np.exp(-np.outer(self.omega, times))
-            self.decay_t = np.exp(-np.outer(self.omega, self.t - times))
-            self.heat_t = np.exp(-self.t * self.omega)
+            self.field = FieldKernels.on_grid(self.omega, self.grid)
         self.bound_factor = math.exp(
             0.5 * float(np.vdot(self.u_amp, self.u_amp).real)
             + 0.5 * float(np.vdot(self.g_amp, self.g_amp).real)
@@ -235,58 +264,50 @@ def _gate_block(plan: _Plan, positions: np.ndarray) -> np.ndarray:
         return np.exp(-params["kappa"] * pen)
 
 
-def _integrand_block(plan: _Plan, positions: np.ndarray) -> np.ndarray:
-    """Vectorized integrand elements for a (B, n+1, nu) block of live paths."""
-    nb = positions.shape[0]
-    coeffs = plan.coeffs
-    # complex action
-    s_re = np.zeros(nb)
-    s_im = np.zeros(nb)
-    if coeffs.V is not None or coeffs.U is not None:
-        pot = np.zeros(positions.shape[:2])
-        if coeffs.V is not None:
-            pot = pot + np.asarray(coeffs.V(positions), dtype=float)
-        if coeffs.U is not None:
-            pot = pot - np.asarray(coeffs.U(positions), dtype=float)
-        s_re = 0.5 * plan.grid.dt * (pot[:, :-1] + pot[:, 1:]).sum(axis=1)
-    db = np.diff(positions, axis=1)
-    if coeffs.A is not None:
-        avals = np.asarray(coeffs.A(positions), dtype=float)
-        fwd = np.einsum("blj,blj->b", avals[:, :-1, :], db)
-        bwd = np.einsum("blj,blj->b", avals[:, 1:, :], db)
-        s_im = -0.5 * (fwd + bwd)
-    s_val = s_re + 1j * s_im
-    # field displacement terms
-    if coeffs.G is not None:
-        gvals = np.asarray(coeffs.G(positions), dtype=float)
-        pad = np.zeros((nb, 1, positions.shape[2]))
-        db_prev = np.concatenate([pad, db], axis=1)
-        db_next = np.concatenate([db, pad], axis=1)
-        amps = 0.5 * np.einsum("bljm,blj->blm", gvals, db_prev) + 0.5 * np.einsum(
-            "bljm,blj->blm", gvals, db_next
-        )
-        norm_ksq = atom_gram_form(amps, plan.omega, plan.grid.dt)
-        p0 = np.einsum("ml,blm->bm", plan.decay0, amps)
-        pt = np.einsum("ml,blm->bm", plan.decay_t, amps)
+def element_block(
+    s_val: np.ndarray,
+    amps: Optional[np.ndarray],
+    u: np.ndarray,
+    g: np.ndarray,
+    field: Optional[FieldKernels],
+) -> np.ndarray:
+    """Kernel-direction elements <eps(u), W(S, K) eps(g)> of a block, from
+    the output of ``action_block``.
+
+    u and g are (M,) amplitudes shared by the block or (B, M) per path;
+    field is None when there are no modes.  The star-direction element is
+    the conjugate of this one with u and g swapped.
+    """
+    nb = s_val.shape[0]
+    if amps is not None:
+        norm_ksq = atom_gram_form(amps, field.omega, field.dt)
+        p0 = np.einsum("ml,blm->bm", field.decay0, amps)
+        pt = np.einsum("ml,blm->bm", field.decay_t, amps)
     else:
-        mode_count = 1 if plan.omega is None else plan.omega.size
+        mode_count = 1 if field is None else field.omega.size
         norm_ksq = np.zeros(nb)
         p0 = pt = np.zeros((nb, mode_count))
-    # the star-direction element equals conj(kernel element with u, g swapped)
-    if plan.direction == "star":
-        u, g = plan.g_amp, plan.u_amp
-    else:
-        u, g = plan.u_amp, plan.g_amp
-    if plan.omega is not None:
-        contraction = np.vdot(u, plan.heat_t * g)
-        cross = 1j * (p0 @ g) + 1j * (pt @ np.conj(u))
-    else:
+    if field is None:
         contraction = 0.0
         cross = 0.0
-    expo = -s_val - 0.5 * norm_ksq + cross + contraction
-    elem = np.exp(expo)
+    elif u.ndim == 1:
+        contraction = np.vdot(u, field.heat_t * g)
+        cross = 1j * (p0 @ g) + 1j * (pt @ np.conj(u))
+    else:
+        contraction = np.einsum("bm,bm->b", np.conj(u), field.heat_t * g)
+        cross = 1j * np.einsum("bm,bm->b", p0, g) + 1j * np.einsum(
+            "bm,bm->b", pt, np.conj(u)
+        )
+    return np.exp(-s_val - 0.5 * norm_ksq + cross + contraction)
+
+
+def _integrand_block(plan: _Plan, positions: np.ndarray) -> np.ndarray:
+    """Vectorized integrand elements for a (B, n+1, nu) block of live paths."""
+    s_val, amps = action_block(positions, plan.coeffs, plan.grid.dt)
     if plan.direction == "star":
-        elem = np.conj(elem)
+        elem = np.conj(element_block(s_val, amps, plan.g_amp, plan.u_amp, plan.field))
+    else:
+        elem = element_block(s_val, amps, plan.u_amp, plan.g_amp, plan.field)
     if plan.cfg.check_bounds:
         bound = np.exp(-s_val.real) * plan.bound_factor * (1.0 + 1e-10)
         bad = np.abs(elem) > bound

@@ -3,9 +3,14 @@
 Run with -s to see one pass/fail line per criterion.
 """
 
+import numpy as np
 import pytest
 
-from fkpf.acceptance import CRITERIA, DEFAULT_SEED
+from fkpf import acceptance, integrand
+from fkpf.acceptance import CRITERIA, DEFAULT_SEED, SP1
+from fkpf.action import Coefficients, evaluate_action
+from fkpf.integrand import IntegrandInputs, contraction_check
+from fkpf.paths import PathGrid, SampledPath, sample_bm_block
 
 
 @pytest.mark.parametrize("cid", list(CRITERIA))
@@ -13,3 +18,75 @@ def test_acceptance_criterion(cid):
     result = CRITERIA[cid](1.0, DEFAULT_SEED, 0)
     print(result.summary_line())
     assert result.passed, f"{cid} failed: {result.details}"
+
+
+def per_path_draw(rng):
+    return SP1.vector(0.8 * (rng.normal(size=1) + 1j * rng.normal(size=1)))
+
+
+def test_c11_draws_equal_per_path_sequence():
+    seed, n_paths = DEFAULT_SEED + 10, 300
+    u, g = acceptance._contraction_params(seed, n_paths)
+    rng = np.random.default_rng(seed)
+    for i in range(n_paths):
+        assert u[i].tobytes() == per_path_draw(rng).amplitudes.tobytes()
+        assert g[i].tobytes() == per_path_draw(rng).amplitudes.tobytes()
+
+
+def per_path_c11(scale, seed):
+    """c11 as one action, integrand and bound check per path and direction,
+    kernel before star: (passed, details)."""
+    def v_pos(x):
+        return 0.5 * (1.0 + np.tanh(np.asarray(x)[..., 0]))
+
+    def a_sin(x):
+        return np.sin(np.asarray(x))
+
+    coeffs = Coefficients(A=a_sin, V=v_pos, G=acceptance._bump_coupling(0.8),
+                          space=SP1)
+    n_paths = acceptance._n(scale, 10000)
+    rng = np.random.default_rng(seed + 10)
+    grid = PathGrid(0.6, 32)
+    worst_slack = np.inf
+    for i, pos in enumerate(sample_bm_block(seed + 10, 0, n_paths, [0.0], grid)):
+        path = SampledPath(grid, pos, "free", start=pos[0].copy())
+        res = evaluate_action(path, coeffs)
+        inp = IntegrandInputs(grid.horizon, res.S, res.K, SP1)
+        u, g = per_path_draw(rng), per_path_draw(rng)
+        for kind in ("kernel", "star"):
+            ok, slack = contraction_check(inp, u, g, kind=kind)
+            worst_slack = min(worst_slack, slack)
+            if not ok:
+                return False, {"violation_slack": slack, "path": i}
+    return True, {"worst_slack": worst_slack, "paths": n_paths}
+
+
+# None keeps the shipped tolerance.  At the negative ones the first failure
+# is the star element of path 7 (-0.04), the kernel element alone of path 0
+# (-0.16), and both elements of path 0, of which the kernel is reported (-0.2)
+@pytest.mark.parametrize("tolerance", [None, -0.04, -0.16, -0.2])
+@pytest.mark.parametrize("one_path_chunks", [False, True])
+def test_c11_matches_per_path_loop(monkeypatch, tolerance, one_path_chunks):
+    if tolerance is not None:
+        monkeypatch.setattr(integrand, "CONTRACTION_SLACK", tolerance)
+    if one_path_chunks:
+        monkeypatch.setattr(acceptance, "_CHUNK_PATH_STEPS", 1)
+    result = CRITERIA["c11"](0.02, DEFAULT_SEED, 0)
+    passed, details = per_path_c11(0.02, DEFAULT_SEED)
+    assert result.passed is passed
+    assert passed is (tolerance is None)
+    assert result.details.keys() == details.keys()
+    for key, value in details.items():
+        if isinstance(value, int):
+            assert result.details[key] == value
+        else:
+            assert result.details[key] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("cid, scale", [("c07", 0.05), ("c11", 0.02)])
+def test_block_criteria_do_not_depend_on_chunk_size(monkeypatch, cid, scale):
+    shipped = CRITERIA[cid](scale, DEFAULT_SEED, 0)
+    # one path per chunk
+    monkeypatch.setattr(acceptance, "_CHUNK_PATH_STEPS", 1)
+    single = CRITERIA[cid](scale, DEFAULT_SEED, 0)
+    assert repr(single.details) == repr(shipped.details)

@@ -6,17 +6,28 @@ import pytest
 from fkpf.action import (
     CoefficientTable,
     Coefficients,
+    action_block,
     compute_K,
     compute_K_div,
     compute_S,
     compute_S_div,
+    divergence_action_block,
+    divergence_atoms_block,
     evaluate_action,
     localize_gate,
     merge_atoms,
     stratonovich_scalar,
 )
 from fkpf.oneboson import OneBosonSpace, nelson_norm_sq
-from fkpf.paths import Domain, PathGrid, reverse, sample_bm, subpath
+from fkpf.paths import (
+    Domain,
+    PathGrid,
+    SampledPath,
+    reverse,
+    sample_bm,
+    sample_bm_block,
+    subpath,
+)
 
 
 SP = OneBosonSpace(np.array([1.0]))
@@ -318,3 +329,138 @@ def test_coefficient_table_roundtrip(tmp_path):
     # zero extension outside the box
     far = np.array([[5.0]])
     assert coeffs.V(far)[0] == 0.0
+
+
+# -- block routes -------------------------------------------------------------
+
+
+def block_coeffs(nu, modes):
+    """Smooth A, V, U, G with their divergences in nu dimensions, M modes."""
+    weights = np.arange(1.0, nu * modes + 1.0).reshape(nu, modes) / (nu * modes)
+
+    def a_field(x):
+        return np.sin(x + 0.3)
+
+    def div_a(x):
+        return np.cos(x + 0.3).sum(axis=-1)
+
+    def v_pot(x):
+        return 1.0 + 0.5 * np.cos(x).sum(axis=-1)
+
+    def u_pot(x):
+        return 0.3 * np.exp(-(x**2).sum(axis=-1))
+
+    def g_coupling(x):
+        return np.sin(x)[..., :, None] * weights
+
+    def div_g(x):
+        return (np.cos(x)[..., :, None] * weights).sum(axis=-2)
+
+    return Coefficients(A=a_field, V=v_pot, U=u_pot, G=g_coupling, divA=div_a,
+                        divG=div_g, space=OneBosonSpace(np.linspace(0.6, 1.8, modes)))
+
+
+def block_paths(nu, count=12, steps=24):
+    grid = PathGrid(0.7, steps)
+    return grid, sample_bm_block(41 + nu, 0, count, np.full(nu, 0.1), grid)
+
+
+def one_path(grid, pos):
+    return SampledPath(grid, pos, "free", start=pos[0].copy())
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_action_block_rows_match_per_path(nu, modes):
+    coeffs = block_coeffs(nu, modes)
+    grid, block = block_paths(nu)
+    s_val, amps = action_block(block, coeffs, grid.dt)
+    assert s_val.shape == (12,)
+    assert amps.shape == (12, grid.steps + 1, modes)
+    for pos, s_row, amps_row in zip(block, s_val, amps):
+        path = one_path(grid, pos)
+        np.testing.assert_allclose(s_row, compute_S(path, coeffs), rtol=1e-13)
+        np.testing.assert_allclose(amps_row, compute_K(path, coeffs).vectors.real,
+                                   rtol=1e-13)
+
+
+def test_action_block_without_coupling_has_no_atoms():
+    grid, block = block_paths(1)
+    s_val, amps = action_block(block, Coefficients(V=v_const(0.5)), grid.dt)
+    assert amps is None
+    np.testing.assert_allclose(s_val, 0.5 * grid.horizon, rtol=1e-13)
+
+
+def reference_S_div(path, coeffs):
+    """The divergence-form action as a per-path fsum."""
+    dt = path.grid.dt
+    pot = np.zeros(path.grid.steps + 1)
+    if coeffs.V is not None:
+        pot = pot + coeffs.V(path.positions)
+    if coeffs.U is not None:
+        pot = pot - coeffs.U(path.positions)
+    re = math.fsum(0.5 * dt * (pot[:-1] + pot[1:]))
+    avals = coeffs.A(path.positions)
+    im = -math.fsum(np.einsum("lj,lj->l", avals[:-1], path.increments()))
+    divvals = coeffs.divA(path.positions)
+    im -= 0.5 * math.fsum(0.5 * dt * (divvals[:-1] + divvals[1:]))
+    return complex(re, im)
+
+
+def reference_K_div(path, coeffs):
+    """The divergence-form atoms of one path: left-endpoint Ito atoms and the
+    divG atoms with half the trapezoid time weights, each (n+1, M)."""
+    n = path.grid.steps
+    gvals = coeffs.G(path.positions)
+    db_next = np.concatenate([path.increments(), np.zeros((1, path.nu))])
+    ito = np.einsum("ljm,lj->lm", gvals, db_next)
+    tw = np.ones(n + 1)
+    tw[0] = tw[-1] = 0.5
+    div = 0.5 * path.grid.dt * tw[:, None] * coeffs.divG(path.positions)
+    return ito, div
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_divergence_blocks_match_per_path_reference(nu, modes):
+    coeffs = block_coeffs(nu, modes)
+    grid, block = block_paths(nu)
+    s_div = divergence_action_block(block, coeffs, grid.dt)
+    ito, div = divergence_atoms_block(block, coeffs, grid.dt)
+    assert s_div.shape == (12,)
+    assert ito.shape == div.shape == (12, grid.steps + 1, modes)
+    for i, pos in enumerate(block):
+        path = one_path(grid, pos)
+        ref_s = reference_S_div(path, coeffs)
+        ref_ito, ref_div = reference_K_div(path, coeffs)
+        np.testing.assert_allclose(s_div[i], ref_s, rtol=1e-13)
+        assert compute_S_div(path, coeffs) == s_div[i]
+        np.testing.assert_allclose(ito[i], ref_ito, rtol=1e-13)
+        np.testing.assert_allclose(div[i], ref_div, rtol=1e-13)
+        k_div = compute_K_div(path, coeffs)
+        assert np.array_equal(k_div.times, np.concatenate([grid.times, grid.times]))
+        assert np.array_equal(k_div.vectors, np.concatenate([ito[i], div[i]]))
+
+
+def test_divergence_blocks_raise_like_per_path_views():
+    grid, block = block_paths(1)
+    no_div_a = Coefficients(A=a_sine, V=v_const(0.5))
+    with pytest.raises(ValueError, match="divA"):
+        divergence_action_block(block, no_div_a, grid.dt)
+    # the atoms do not need divA, and the action does not need divG
+    assert divergence_atoms_block(block, no_div_a, grid.dt) is None
+    no_div_g = Coefficients(A=a_sine, divA=diva_sine, G=g_sine, space=SP)
+    with pytest.raises(ValueError, match="divG"):
+        divergence_atoms_block(block, no_div_g, grid.dt)
+    path = one_path(grid, block[0])
+    assert compute_S_div(path, no_div_g) == divergence_action_block(
+        block, no_div_g, grid.dt)[0]
+    singular = Coefficients(A=a_sine, divA=diva_sine, smoothness="singular")
+    for fn in (divergence_action_block, divergence_atoms_block):
+        with pytest.raises(ValueError, match="regular"):
+            fn(block, singular, grid.dt)
+    with pytest.raises(ValueError, match="mode space"):
+        compute_K_div(path, Coefficients())
+    wrong = Coefficients(G=g_sine, divG=divg_sine, space=OneBosonSpace(np.ones(2)))
+    with pytest.raises(ValueError, match="coupling values have shape"):
+        compute_K_div(path, wrong)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fkpf.harness import (
+    CONFIG_SCHEMA,
     ExperimentConfig,
     compare,
     load_config,
@@ -266,6 +267,108 @@ def test_shipped_configs_validate():
     assert found
     for path in found:
         load_config(path)
+
+
+KERNEL_CONFIG = {
+    "experiment": "kernel",
+    "seed": 4,
+    "domain": {"kind": "interval", "params": [0.0, 1.0]},
+    "coefficients": {"name": "zero"},
+    "mc": {"samples": 100, "steps": 16,
+           "gating": {"mode": "indicator", "correction": False}},
+    "points": {"x": [0.4], "y": [0.5], "t": 0.2},
+}
+
+
+def edited(config, path, value=None, delete=False):
+    """A deep copy of config with the value at the key path set or deleted."""
+    out = json.loads(json.dumps(config))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def rejected(name, path, value=None, delete=False):
+    return pytest.param(path, value, delete, id=name)
+
+
+@pytest.mark.parametrize("path, value, delete", [
+    # a typo in a nested key used to be ignored, leaving the correction on
+    rejected("gating-typo", ("mc", "gating", "corection"), False),
+    rejected("penalty-without-n_cap", ("mc", "gating"),
+             {"mode": "penalty", "kappa": 1.0}),
+    rejected("indicator-with-kappa", ("mc", "gating"),
+             {"mode": "indicator", "kappa": 1.0}),
+    rejected("penalty-kappa-zero", ("mc", "gating"),
+             {"mode": "penalty", "kappa": 0.0, "n_cap": 1.0}),
+    rejected("mc-typo", ("mc", "antithetc"), True),
+    rejected("domain-unknown-key", ("domain", "lo"), 0.0),
+    rejected("points-unknown-key", ("points", "z"), [0.1]),
+    rejected("x-not-a-number", ("points", "x"), ["0.4"]),
+    rejected("u-not-a-pair", ("points", "u"), [[0.1, 0.2, 0.3]]),
+    rejected("params-typo", ("coefficients",),
+             {"name": "constant_V", "params": {"levle": 2.0}}),
+    rejected("params-on-zero-family", ("coefficients", "params"), {"level": 2.0}),
+    rejected("table-path-without-table", ("coefficients", "table_path"),
+             "coeffs.npz"),
+    # the blocks and points an experiment reads must be there
+    rejected("kernel-without-mc", ("mc",), delete=True),
+    rejected("kernel-without-points", ("points",), delete=True),
+    rejected("kernel-without-y", ("points", "y"), delete=True),
+    rejected("kernel-without-coefficients", ("coefficients",), delete=True),
+])
+def test_schema_rejects_unknown_keys_and_missing_blocks(tmp_path, path, value, delete):
+    load_config(write_config(tmp_path, KERNEL_CONFIG))
+    bad = edited(KERNEL_CONFIG, path, value, delete)
+    with pytest.raises(jsonschema.ValidationError):
+        load_config(write_config(tmp_path, bad))
+
+
+def test_schema_checks_each_experiment_and_family(tmp_path):
+    penalty = edited(KERNEL_CONFIG, ("mc", "gating"),
+                     {"mode": "penalty", "kappa": 2.0, "n_cap": 100.0})
+    load_config(write_config(tmp_path, penalty))
+    no_state = edited(BASE_SEMIGROUP, ("state",), delete=True)
+    oracle = {"grid": {"lo": -1.0, "hi": 1.0, "points": 8}}
+    mollify = {"experiment": "mollify-converge", "seed": 1,
+               "domain": {"kind": "interval", "params": [-1.0, 1.0]},
+               "coefficients": {"name": "table"}, "oracle": oracle}
+    bump_typo = edited(BASE_SEMIGROUP, ("coefficients",),
+                       {"name": "gaussian_bump_G", "params": {"strenght": 1.0}})
+    for bad in (no_state, mollify, bump_typo,
+                edited(mollify, ("coefficients",), {"name": "zero"}),
+                edited(mollify, ("oracle", "grid", "points"), delete=True),
+                {"experiment": "diamagnetic", "seed": 1,
+                 "domain": {"kind": "interval", "params": [-1.0, 1.0]},
+                 "coefficients": {"name": "sine_A"}}):
+        with pytest.raises(jsonschema.ValidationError):
+            load_config(write_config(tmp_path, bad))
+    good = edited(mollify, ("coefficients", "table_path"), "coeffs.npz")
+    load_config(write_config(tmp_path, good))
+
+
+def test_config_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def test_benchmark_generated_configs_validate(tmp_path):
+    import sys
+    from pathlib import Path
+
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench_dir))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench_dir))
+    for name in ("kernel-interval", "semigroup-coupled-fine"):
+        wl = workloads.WORKLOADS[name](bench_dir.parent, tmp_path)
+        load_config(write_config(tmp_path, wl.make_config(17), f"{name}.json"))
 
 
 def test_config_hash_stability():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from fkpf.action import Coefficients
+from fkpf.action import Coefficients, action_block, compute_K, compute_S
+from fkpf.integrand import (
+    IntegrandInputs,
+    w_kernel_matrix_element,
+    w_star_matrix_element,
+)
 from fkpf.oneboson import OneBosonSpace
-from fkpf.paths import Domain, PathGrid, sample_bm_block
+from fkpf.paths import Domain, PathGrid, SampledPath, sample_bm_block
 from fkpf.reference import (
     gaussian_free_semigroup,
     heat_kernel,
@@ -12,10 +17,12 @@ from fkpf.reference import (
 )
 import fkpf.semigroup as semigroup
 from fkpf.semigroup import (
+    FieldKernels,
     MCConfig,
     StateSpec,
     atom_gram_form,
     chapman_probe,
+    element_block,
     estimate_kernel_element,
     estimate_penalized_element,
     estimate_Tt_element,
@@ -448,3 +455,42 @@ def test_nonfinite_samples_raise_with_count_and_first_index():
               f"the first is at path index {hit[0]}"
     with pytest.raises(FloatingPointError, match=message):
         estimate_Tt_element([0.0], VAC, GAUSS_STATE, 1.0, coeffs, FREE, cfg)
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_element_block_rows_match_closed_forms(nu, modes):
+    space = OneBosonSpace(np.linspace(0.6, 1.8, modes))
+    weights = np.linspace(0.3, 0.8, nu * modes).reshape(nu, modes)
+    coeffs = Coefficients(
+        A=lambda x: np.sin(x + 0.3),
+        V=lambda x: 1.0 + 0.5 * np.cos(x).sum(axis=-1),
+        U=lambda x: 0.3 * np.exp(-(x**2).sum(axis=-1)),
+        G=lambda x: np.sin(x)[..., :, None] * weights,
+        space=space,
+    )
+    count = 10
+    grid = PathGrid(0.7, 24)
+    block = sample_bm_block(52 + nu, 0, count, np.full(nu, 0.1), grid)
+    rng = np.random.default_rng([nu, modes])
+    u, g = 0.5 * (rng.normal(size=(2, count, modes))
+                  + 1j * rng.normal(size=(2, count, modes)))
+    s_val, amps = action_block(block, coeffs, grid.dt)
+    field = FieldKernels.on_grid(space.omega, grid)
+    kernel = element_block(s_val, amps, u, g, field)
+    star = np.conj(element_block(s_val, amps, g, u, field))
+    for i, pos in enumerate(block):
+        path = SampledPath(grid, pos, "free", start=pos[0].copy())
+        inp = IntegrandInputs(grid.horizon, compute_S(path, coeffs),
+                              compute_K(path, coeffs), space)
+        u_i, g_i = space.vector(u[i]), space.vector(g[i])
+        assert kernel[i] == pytest.approx(
+            w_kernel_matrix_element(inp, u_i, g_i), rel=1e-12)
+        assert star[i] == pytest.approx(
+            w_star_matrix_element(inp, u_i, g_i), rel=1e-12)
+    # one (M,) pair shared by the block gives the elements of that pair
+    # repeated on every row
+    shared = element_block(s_val, amps, u[0], g[0], field)
+    repeated = element_block(s_val, amps, np.tile(u[0], (count, 1)),
+                             np.tile(g[0], (count, 1)), field)
+    np.testing.assert_allclose(shared, repeated, rtol=1e-14)
